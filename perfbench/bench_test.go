@@ -91,7 +91,8 @@ func TestSmoke(t *testing.T) {
 func TestCatchesWrongAnswers(t *testing.T) {
 	t.Chdir(t.TempDir())
 	sc := scales["tiny"]
-	b := &bench{sc: sc, seed: 5, work: t.TempDir(), metrics: map[string]metric{}, layer: map[string]metric{}}
+	b := &bench{sc: sc, seed: 5, work: t.TempDir(), metrics: map[string]metric{}, layer: map[string]metric{},
+		samples: map[string][]float64{}, units: map[string]string{}, layers: map[string]bool{}}
 	var err error
 	if b.bank, err = reward.NewBank(sc.bankBits); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestCatchesWrongAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.stop()
-	if _, _, err := b.upload(n, ep, minutes, 2); err != nil {
+	if _, err := b.upload(n, ep, minutes, 2); err != nil {
 		t.Fatal(err)
 	}
 	if b.failed != 0 {
@@ -134,13 +135,28 @@ func TestCatchesWrongAnswers(t *testing.T) {
 		t.Fatalf("an injected wrong verdict counted %d failures, want 1", b.failed)
 	}
 
+	// A phase in which every answer is wrong still reports.
+	allWrong := append([]invReq(nil), reqs...)
+	for i := range allWrong {
+		allWrong[i].refs = []string{allWrong[i].refs[0] + ",00"}
+	}
+	b.reportInvestigate(b.investigate(ep, allWrong, 2))
+	if want := int64(1 + len(allWrong)); b.failed != want {
+		t.Fatalf("a phase of wrong verdicts counted %d failures, want %d", b.failed, want)
+	}
+	b.reduce()
+	if v := b.metrics["investigate_per_s"].Value; v != 0 {
+		t.Fatalf("investigate_per_s = %v with no right answer, want 0", v)
+	}
+	failed := b.failed
+
 	// A VP the server never stored, listed as acknowledged.
 	acked := ackedIDs(minutes)
 	acked[1] = append(acked[1], vd.VPID{0xde, 0xad})
 	if err := b.checkDurable(n, acked, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if b.failed < 2 {
+	if b.failed <= failed {
 		t.Fatalf("a dropped acknowledgement was not caught: %d failures", b.failed)
 	}
 }

@@ -84,20 +84,20 @@ func fleetIngest(b *bench) error {
 	// Probe work is split across repetitions, each its own slice.
 	for rep := 0; rep < sc.reps; rep++ {
 		n, ep, err := b.setup(golden, pol, hist, rep, func(n *node, ep *endpoint) error {
-			_, _, err := b.upload(n, ep, warmup, 2)
+			_, err := b.upload(n, ep, warmup, 2)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		w0, a := writeBytes(), b.openWindow(n)
-		st, wall, err := b.upload(n, ep, timed, 2)
+		st, err := b.upload(n, ep, timed, 2)
 		if err != nil {
 			discard(n, ep)
 			return err
 		}
 		b.closeWindow(n, a, st.records, 0)
-		b.reportUpload(st, wall, writeBytes()-w0, checkpointEvery)
+		b.reportUpload(st, writeBytes()-w0)
 		b.reportBackground(n, st)
 
 		quiesce()
@@ -129,7 +129,7 @@ func fleetIngest(b *bench) error {
 			discard(n, ep)
 			return err
 		}
-		b.accounted(sumDur(st.lat), st.records, int64(len(st.lat)), 0, 0, 0, 0)
+		b.accounted(sumDur(st.lat), st.records, int64(len(st.lat)), 0, 0)
 		samples := map[int64][]*vp.Profile{}
 		for _, sm := range timed {
 			if sm.profiles != nil && len(samples) < 4 {
@@ -160,15 +160,10 @@ func ackedIDs(parts ...[]*streamMinute) map[int64][]vd.VPID {
 	return out
 }
 
-// reportUpload sets the upload metrics of a timed phase. Closed-loop
-// throughput is the median over checkpoint-aligned segments (see
-// segmentRate); open-loop throughput is over the whole window.
-func (b *bench) reportUpload(st *uploadStats, wall time.Duration, written int64, segMinutes int64) {
-	rate := float64(st.records) / wall.Seconds()
-	if segMinutes > 0 {
-		rate = st.segmentRate(segMinutes)
-	}
-	b.set("upload_vps_per_s", rate, "1/s")
+// reportUpload sets the upload metrics of a timed phase. Throughput
+// is the median over checkpoint-aligned segments (see segmentRate).
+func (b *bench) reportUpload(st *uploadStats, written int64) {
+	b.set("upload_vps_per_s", st.segmentRate(checkpointEvery), "1/s")
 	b.set("upload_p50_ms", p50ms(st.lat), "ms")
 	b.layerSet("upload_p99_ms", quantileMS(st.lat, 0.99), "ms")
 	if written >= 0 {

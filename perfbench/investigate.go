@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"viewmap/internal/server"
 	"viewmap/internal/vp"
 )
 
@@ -105,22 +106,22 @@ func incidentInvestigate(b *bench) error {
 			return err
 		}
 
-		ev0, a := n.sys.Store().RetentionStatsSnapshot().Evictions, b.openWindow(n)
+		r0, a := n.sys.Store().RetentionStatsSnapshot(), b.openWindow(n)
 		st, start := b.investigate(ep, part(timedReqs, rep, sc.reps), 2)
 		hotN, coldN, periodN := int64(len(st.lat[hotReq])), int64(len(st.lat[coldReq])), int64(len(st.lat[periodReq]))
 		b.closeWindow(n, a, 0, hotN+coldN+5*periodN)
 		b.reportInvestigate(st, start)
-		b.layerSet("server.reloads", float64(n.sys.Store().RetentionStatsSnapshot().Evictions-ev0), "count")
+		b.layerSet("server.reloads", float64(reloads(r0, n.sys.Store().RetentionStatsSnapshot())), "count")
 		b.reportBackground(n, nil)
 
 		quiesce()
 		w0 := writeBytes()
-		ust, uwall, err := b.upload(n, ep, uploads, 2)
+		ust, err := b.upload(n, ep, uploads, 2)
 		if err != nil {
 			discard(n, ep)
 			return err
 		}
-		b.reportUpload(ust, uwall, writeBytes()-w0, checkpointEvery)
+		b.reportUpload(ust, writeBytes()-w0)
 		if err := b.incidentsAt(n, ep, part(incidents, rep, sc.reps)); err != nil {
 			discard(n, ep)
 			return err
@@ -135,7 +136,7 @@ func incidentInvestigate(b *bench) error {
 			err = b.probeLayers(n, layerInputs{uploads: uploads[:min(40, len(uploads))], minutes: traceMinutes,
 				sites: table.sites, cold: cold[:min(3, len(cold))], incident: incidents[0]})
 			b.accounted(sumDur(st.lat[hotReq])+sumDur(st.lat[coldReq])+sumDur(st.lat[periodReq]), 0, 0,
-				hotN+2*periodN, coldN+3*periodN, 0, 0)
+				hotN+2*periodN, coldN+3*periodN)
 		}
 		discard(n, ep)
 		if err != nil {
@@ -144,4 +145,13 @@ func incidentInvestigate(b *bench) error {
 		b.serverHeap(heap)
 	}
 	return nil
+}
+
+// reloads is the number of segment reloads between two retention
+// snapshots of a window without a retention sweep: every reload
+// installs one cold-resident shard, and without a sweep a cold shard
+// leaves residency only through the eviction that makes room for a
+// later reload.
+func reloads(before, after server.RetentionStats) int64 {
+	return after.Evictions - before.Evictions + int64(after.ColdResident-before.ColdResident)
 }

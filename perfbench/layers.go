@@ -426,7 +426,7 @@ func (b *bench) probeEvidence(inc *incident) error {
 // accounted sets trace.accounted_ratio: the layer self times the
 // probes measured, scaled by the work a timed window did, over the
 // window's summed request latency.
-func (b *bench) accounted(e2e time.Duration, vps, uploads, hot, cold, rounds, waves int64) {
+func (b *bench) accounted(e2e time.Duration, vps, uploads, hot, cold int64) {
 	if e2e <= 0 {
 		return
 	}
@@ -434,9 +434,7 @@ func (b *bench) accounted(e2e time.Duration, vps, uploads, hot, cold, rounds, wa
 	perVP := (l("vp.decode_us_per_vp") + l("core.link_us_per_vp") + l("server.journal_us_per_vp")) / 1e3
 	perReq := l("server.http_us_per_req") / 1e3
 	fresh := l("core.extract_ms") + l("core.trustrank_cold_ms")
-	covered := float64(vps)*perVP + float64(uploads+hot+cold+rounds*5+waves*2)*perReq +
-		float64(hot)*fresh + float64(cold)*(fresh+l("server.reload_ms")) +
-		float64(waves)*(l("core.patch_ms")+l("core.trustrank_warm_ms")) +
-		float64(rounds)*(l("evidence.deliver_ms")+l("evidence.payout_ms")+l("evidence.release_ms")+l("reward.client_ms"))
+	covered := float64(vps)*perVP + float64(uploads+hot+cold)*perReq +
+		float64(hot)*fresh + float64(cold)*(fresh+l("server.reload_ms"))
 	b.layerSet("trace.accounted_ratio", covered/ms(e2e), "ratio")
 }

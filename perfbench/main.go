@@ -1,6 +1,6 @@
 // Command perfbench is the repository's end-to-end benchmark. It
 // drives a durable server.System over loopback HTTP through one of
-// three workloads, checks every answer against offline references,
+// two workloads, checks every answer against offline references,
 // and prints each metric with its unit, the last line being a JSON
 // summary:
 //
@@ -144,11 +144,10 @@ func (b *bench) wrongf(format string, args ...any) {
 var workloads = map[string]func(*bench) error{
 	"fleet-ingest":         fleetIngest,
 	"incident-investigate": incidentInvestigate,
-	"incident-response":    incidentResponse,
 }
 
 func main() {
-	workload := flag.String("workload", "", "fleet-ingest, incident-investigate or incident-response")
+	workload := flag.String("workload", "", "fleet-ingest or incident-investigate")
 	seed := flag.Int64("seed", 1, "input seed")
 	seconds := flag.Int("seconds", 8, "nominal length of the timed window")
 	trace := flag.Int("trace", 0, "1 runs the traced pass and prints per-layer metrics")
@@ -157,7 +156,7 @@ func main() {
 
 	run, ok := workloads[*workload]
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(os.Stderr, "perfbench: need --workload (fleet-ingest, incident-investigate, incident-response), --seconds >= 1, --trace 0|1")
+		fmt.Fprintln(os.Stderr, "perfbench: need --workload (fleet-ingest, incident-investigate), --seconds >= 1, --trace 0|1")
 		os.Exit(2)
 	}
 	if *steady > 0 {

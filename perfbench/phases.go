@@ -21,7 +21,7 @@ import (
 	"viewmap/internal/vp"
 )
 
-// Building blocks the three workloads compose: prepared history,
+// Building blocks the workloads compose: prepared history,
 // set-up, the investigation mix and the incident round.
 
 // goldenState is a workload's prepared history under construction:
@@ -120,6 +120,7 @@ func (b *bench) setup(golden string, pol policy, minute int64, rep int, warm fun
 // directory left behind goes with the run's work directory).
 func discard(n *node, ep *endpoint) {
 	ep.stop()
+	_ = n.settle()
 	n.sys.Abort()
 	_ = os.RemoveAll(n.dir)
 }
@@ -153,16 +154,14 @@ func closeAll(cs []*conn) {
 }
 
 // upload runs a closed-loop upload phase and folds its outcome into
-// the run's counts. It returns the phase statistics and wall time.
-func (b *bench) upload(n *node, ep *endpoint, minutes []*streamMinute, clients int) (*uploadStats, time.Duration, error) {
+// the run's counts. It returns the phase statistics.
+func (b *bench) upload(n *node, ep *endpoint, minutes []*streamMinute, clients int) (*uploadStats, error) {
 	cs := b.conns(ep, clients, "uploader")
 	defer closeAll(cs)
 	u := newUploader(n, minutes)
-	t0 := time.Now()
 	err := u.closed(cs)
-	wall := time.Since(t0)
 	b.foldUpload(u.st)
-	return u.st, wall, err
+	return u.st, err
 }
 
 // foldUpload adds an upload phase's operations and failures to the
@@ -393,6 +392,9 @@ func (b *bench) invOne(c *conn, r *invReq, st *invStats) {
 // group's rate runs from the previous group's last completion (or
 // start) to its own last, and the result is the median group rate.
 func rate(start time.Time, ends []time.Time) float64 {
+	if len(ends) == 0 {
+		return 0
+	}
 	k := max(1, min(8, len(ends)/8))
 	rates := make([]float64, k)
 	prev := start
@@ -418,9 +420,7 @@ func (b *bench) reportInvestigate(st *invStats, start time.Time) {
 
 // roundStats holds latencies of incident rounds.
 type roundStats struct {
-	mu                              sync.Mutex
-	investigate, reverify, evidence []time.Duration
-	doubleSpends, released          int
+	reverify, evidence []time.Duration
 }
 
 const offerUnits = 2
@@ -444,15 +444,10 @@ func (b *bench) round(c *conn, inc *incident, st *roundStats) {
 		b.verified(m, inc.refs[w])
 		return true
 	}
-	t0 := time.Now()
 	rep, err := c.investigate(inc.site, m)
-	d := time.Since(t0)
 	if !check("investigate", rep, err, 0) {
 		return
 	}
-	st.mu.Lock()
-	st.investigate = append(st.investigate, d)
-	st.mu.Unlock()
 	for w, wave := range inc.waves {
 		b.count(1, 0)
 		res, err := c.uploadBatch(wave)
@@ -466,9 +461,7 @@ func (b *bench) round(c *conn, inc *incident, st *roundStats) {
 		if !check("re-investigate", rep, err, w+1) {
 			return
 		}
-		st.mu.Lock()
 		st.reverify = append(st.reverify, d)
-		st.mu.Unlock()
 	}
 	b.count(1, 0)
 	listed, err := c.solicit(inc.site, m, offerUnits)
@@ -505,11 +498,7 @@ func (b *bench) round(c *conn, inc *incident, st *roundStats) {
 			b.wrongf("incident %d owner %x: release gave %d chunks, %d frames, want %d (%v)", m, o.id[:4], chunks, frames, len(o.chunks), err)
 			continue
 		}
-		st.mu.Lock()
 		st.evidence = append(st.evidence, d)
-		st.doubleSpends++
-		st.released++
-		st.mu.Unlock()
 	}
 }
 

@@ -22,13 +22,9 @@ type scale struct {
 	invPerMinute, invHistory, invRetention, invSites, invWarm int
 	invRate                                                   float64
 
-	// incident-response: open-loop record rate (VPs/s), repetitions
-	// (fewer and longer than elsewhere, so each holds enough incidents
-	// for its medians), resident horizon (the admission window is three
-	// quarters of it), minutes between incidents, evidence owners per
-	// incident, flood waves and fakes per wave.
-	respRate                                                     float64
-	respReps, respRetention, incidentEvery, owners, waves, fakes int
+	// Incidents: evidence owners per incident, flood waves and fakes
+	// per wave.
+	owners, waves, fakes int
 
 	// Probe phase, run after the timed window so every workload
 	// reports every end-to-end metric: investigation requests,
@@ -44,14 +40,14 @@ var scales = map[string]scale{
 		bankBits: 2048, reps: 5,
 		fleetPerMinute: 200, fleetHistory: 40, fleetWarm: 24, fleetRate: 22000,
 		invPerMinute: 1000, invHistory: 60, invRetention: 10, invSites: 10, invWarm: 40, invRate: 60,
-		respRate: 2000, respReps: 3, respRetention: 40, incidentEvery: 6, owners: 5, waves: 10, fakes: 40,
+		owners: 5, waves: 10, fakes: 40,
 		probeRequests: 800, probeIncidents: 20, probeUploadMinutes: 250,
 	},
 	"tiny": {
 		bankBits: 1024, reps: 2,
 		fleetPerMinute: 40, fleetHistory: 12, fleetWarm: 3, fleetRate: 400,
 		invPerMinute: 60, invHistory: 16, invRetention: 4, invSites: 3, invWarm: 4, invRate: 20,
-		respRate: 400, respReps: 2, respRetention: 6, incidentEvery: 3, owners: 2, waves: 2, fakes: 10,
+		owners: 2, waves: 2, fakes: 10,
 		probeRequests: 12, probeIncidents: 2, probeUploadMinutes: 4,
 	},
 }

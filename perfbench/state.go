@@ -51,9 +51,10 @@ type node struct {
 	pol   policy
 	clock *simClock
 
-	bgWG  sync.WaitGroup
-	bgMu  sync.Mutex
-	bgErr error
+	bgWG   sync.WaitGroup
+	bgMu   sync.Mutex
+	bgLast chan struct{} // closed when the last queued cycle ends
+	bgErr  error
 	// Background cycle accounting (per driven call).
 	checkpoints, evictions  int
 	checkpointDur, evictDur []time.Duration
@@ -87,19 +88,39 @@ func openNode(dir string, pol policy, bank *reward.Bank, minute int64) (*node, e
 	return n, nil
 }
 
-// tick advances the simulated clock to minute m and starts that
-// minute's background cycle: one retention sweep, and a checkpoint
-// every checkpointEvery minutes. The previous cycle must finish
-// first, so every run cycles at the same data points.
+// tick advances the simulated clock to minute m and queues that
+// minute's background cycle.
 func (n *node) tick(m int64) error {
-	n.bgWG.Wait()
 	if err := n.err(); err != nil {
 		return err
 	}
 	n.clock.minute.Store(m)
+	n.cycle(m)
+	return nil
+}
+
+// cycle queues minute m's background cycle: one retention sweep, and a
+// checkpoint every checkpointEvery minutes. Cycles run one at a time,
+// in the order they were queued, beside whatever the caller does next;
+// settle waits for them. Every run on a seed thus queues the same
+// cycles at the same data points, and a sweep that starts late only
+// evicts sooner what a later one would have.
+func (n *node) cycle(m int64) {
+	done := make(chan struct{})
+	n.bgMu.Lock()
+	prev := n.bgLast
+	n.bgLast = done
+	n.bgMu.Unlock()
 	n.bgWG.Add(1)
 	go func() {
 		defer n.bgWG.Done()
+		defer close(done)
+		if prev != nil {
+			<-prev
+		}
+		if n.err() != nil {
+			return
+		}
 		t0 := time.Now()
 		evicted, err := n.sys.Store().ApplyRetention()
 		d := time.Since(t0)
@@ -119,7 +140,6 @@ func (n *node) tick(m int64) error {
 			}
 		}
 	}()
-	return nil
 }
 
 // checkpoint runs one driven Checkpoint and records its cost.
@@ -153,7 +173,7 @@ func (n *node) err() error {
 	return n.bgErr
 }
 
-// settle waits for the running background cycle.
+// settle waits for every queued background cycle.
 func (n *node) settle() error {
 	n.bgWG.Wait()
 	return n.err()

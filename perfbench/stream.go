@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -47,8 +48,6 @@ type streamSpec struct {
 	replayEvery, lag int
 	// keep reports whether a minute's decoded profiles are kept.
 	keep func(m int64) bool
-	// incidents places evidence convoys in some minutes.
-	incidents map[int64]*incident
 }
 
 // genStream generates the minutes of spec. recent carries replay
@@ -107,10 +106,6 @@ func genMinutes(seed int64, spec streamSpec) ([]*minuteData, error) {
 			defer wg.Done()
 			for k := w; k < len(mds); k += len(errs) {
 				m := spec.first + int64(k)
-				if inc := spec.incidents[m]; inc != nil {
-					mds[k] = inc.md
-					continue
-				}
 				md, _, err := genMinute(seed, m, spec.perMinute, spec.area, nil, spec.keep != nil && spec.keep(m))
 				if err != nil {
 					errs[w] = err
@@ -133,7 +128,6 @@ func genMinutes(seed int64, spec streamSpec) ([]*minuteData, error) {
 type uploadStats struct {
 	mu       sync.Mutex
 	lat      []time.Duration
-	late     []time.Duration
 	records  int64
 	bytes    int64
 	failures int64
@@ -201,109 +195,112 @@ func (u *uploadStats) fail(format string, args ...any) {
 	}
 }
 
-// uploader feeds a stream to the server in order: closed loop with
-// any number of clients, or open loop at a fixed record rate.
+// uploader feeds a stream to the server in order, closed loop, with
+// any number of clients.
 type uploader struct {
 	n       *node
 	minutes []*streamMinute
 	st      *uploadStats
 
-	mu        sync.Mutex
-	mi, bi    int // next minute and body
-	acked     map[int64]int
-	completed map[int64]bool
-	ackedCh   chan struct{} // closed and replaced on every minute completion
+	mu     sync.Mutex
+	moved  *sync.Cond // on mu: a batch was answered
+	mi, bi int        // next minute and body
+	// inflight counts the batches sent and not yet answered, by minute.
+	inflight map[int64]int
 }
 
 func newUploader(n *node, minutes []*streamMinute) *uploader {
-	return &uploader{n: n, minutes: minutes, st: &uploadStats{}, acked: map[int64]int{},
-		completed: map[int64]bool{}, ackedCh: make(chan struct{})}
+	u := &uploader{n: n, minutes: minutes, st: &uploadStats{}, inflight: map[int64]int{}}
+	u.moved = sync.NewCond(&u.mu)
+	return u
+}
+
+// behind reports whether a batch of a minute before m-1 is in flight.
+// The clock may not reach m then: the batch's replays of its oldest
+// admissible minute would turn stale under it.
+func (u *uploader) behind(m int64) bool {
+	for k := range u.inflight {
+		if k < m-1 {
+			return true
+		}
+	}
+	return false
 }
 
 // next hands out the next body. The caller that opens a minute
-// advances the simulated clock (starting the background cycle) and
-// uploads the minute's trusted VP before any of its batches leaves.
+// advances the simulated clock, uploads the minute's trusted VP before
+// any of its batches leaves, and then queues the minute's background
+// cycle, which runs beside the uploads.
 func (u *uploader) next(c *conn) (sm *streamMinute, bi int, ok bool, err error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.mi >= len(u.minutes) {
-		return nil, 0, false, nil
+	for {
+		if u.mi >= len(u.minutes) {
+			return nil, 0, false, nil
+		}
+		sm = u.minutes[u.mi]
+		if u.bi > 0 || !u.behind(sm.minute) {
+			break
+		}
+		u.moved.Wait()
 	}
-	sm = u.minutes[u.mi]
 	if u.bi == 0 {
-		if err := u.n.tick(sm.minute); err != nil {
+		if err := u.n.err(); err != nil {
 			return nil, 0, false, err
 		}
+		u.n.clock.minute.Store(sm.minute)
 		if err := c.uploadTrusted(sm.trusted); err != nil {
 			return nil, 0, false, fmt.Errorf("trusted upload for minute %d: %w", sm.minute, err)
 		}
+		u.n.cycle(sm.minute)
 	}
 	bi = u.bi
 	u.bi++
 	if u.bi == len(sm.bodies) {
 		u.mi, u.bi = u.mi+1, 0
 	}
+	u.inflight[sm.minute]++
 	return sm, bi, true, nil
 }
 
+// answered marks one batch of minute m as answered.
+func (u *uploader) answered(m int64) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.inflight[m]--; u.inflight[m] == 0 {
+		delete(u.inflight, m)
+	}
+	u.moved.Broadcast()
+}
+
 // send uploads one body and checks the server's accounting of it.
-func (u *uploader) send(c *conn, sm *streamMinute, bi int, due time.Time) error {
+func (u *uploader) send(c *conn, sm *streamMinute, bi int) {
 	t0 := time.Now()
 	rep, err := c.uploadBatch(sm.bodies[bi])
 	t1 := time.Now()
+	u.answered(sm.minute)
 	st := u.st
 	st.mu.Lock()
 	st.attempts++
 	st.mu.Unlock()
 	if err != nil {
 		st.fail("minute %d batch %d: %v", sm.minute, bi, err)
-		return nil
+		return
 	}
 	want := batchReply{Stored: sm.recs[bi] - sm.dups[bi], Duplicates: sm.dups[bi]}
 	if rep != want {
 		st.fail("minute %d batch %d: server counted %+v, want %+v", sm.minute, bi, rep, want)
 	}
-	start := t0
-	if !due.IsZero() {
-		start = due
-	}
 	st.mu.Lock()
-	st.lat = append(st.lat, t1.Sub(start))
-	if !due.IsZero() {
-		st.late = append(st.late, t0.Sub(due))
-	}
+	st.lat = append(st.lat, t1.Sub(t0))
 	st.acks = append(st.acks, ack{minute: sm.minute, records: sm.recs[bi], sent: t0, got: t1})
 	st.records += int64(sm.recs[bi])
 	st.bytes += int64(len(sm.bodies[bi]))
 	st.mu.Unlock()
-
-	u.mu.Lock()
-	u.acked[sm.minute]++
-	if u.acked[sm.minute] == len(sm.bodies) {
-		delete(u.acked, sm.minute)
-		u.completed[sm.minute] = true
-		close(u.ackedCh)
-		u.ackedCh = make(chan struct{})
-	}
-	u.mu.Unlock()
-	return nil
 }
 
-// waitAcked blocks until every batch of minute m was acknowledged.
-func (u *uploader) waitAcked(m int64) {
-	for {
-		u.mu.Lock()
-		done := u.completed[m]
-		ch := u.ackedCh
-		u.mu.Unlock()
-		if done {
-			return
-		}
-		<-ch
-	}
-}
-
-// closed runs the stream to its end with one goroutine per client.
+// closed runs the stream to its end with one goroutine per client,
+// then waits for the queued background cycles.
 func (u *uploader) closed(clients []*conn) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(clients))
@@ -317,44 +314,10 @@ func (u *uploader) closed(clients []*conn) error {
 					errs[i] = err
 					return
 				}
-				if err := u.send(c, sm, bi, time.Time{}); err != nil {
-					errs[i] = err
-					return
-				}
+				u.send(c, sm, bi)
 			}
 		}(i, c)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return u.n.settle()
-}
-
-// open runs the stream from one client at a fixed record rate: each
-// batch is due when the records before it would have been sent at
-// that rate, and is timed from its due time.
-func (u *uploader) open(c *conn, recordsPerSec float64) error {
-	start := time.Now()
-	var sent int64
-	for {
-		sm, bi, ok, err := u.next(c)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		due := start.Add(time.Duration(float64(sent) / recordsPerSec * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		sent += int64(sm.recs[bi])
-		if err := u.send(c, sm, bi, due); err != nil {
-			return err
-		}
-	}
-	return u.n.settle()
+	return errors.Join(append(errs, u.n.settle())...)
 }

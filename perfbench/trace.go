@@ -60,7 +60,6 @@ var layerMetrics = []struct{ name, unit string }{
 	{"reward.client_ms", "ms"},
 	{"runtime.gc_pause_ms_total", "ms"},
 	{"runtime.gc_cpu_fraction", "ratio"},
-	{"gen.late_ms_p99", "ms"},
 	{"trace.accounted_ratio", "ratio"},
 	{"trace.overhead_ratio", "ratio"},
 }
