@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"viewmap/internal/reward"
 	"viewmap/internal/vd"
@@ -181,5 +182,32 @@ func TestDeterministicCounts(t *testing.T) {
 				t.Errorf("verdict sets differ between runs (%d and %d verdicts)", len(a.verdicts), len(b.verdicts))
 			}
 		})
+	}
+}
+
+// TestUploadThroughputPerSegment checks that upload throughput takes
+// each segment's median duration over the repetitions, so one slow
+// repetition of a segment does not count and the result does not
+// depend on how the segments of a stream differ.
+func TestUploadThroughputPerSegment(t *testing.T) {
+	b := &bench{metrics: map[string]metric{}, layer: map[string]metric{},
+		samples: map[string][]float64{}, units: map[string]string{}, layers: map[string]bool{},
+		segRecords: map[int64]int{}, segDurs: map[int64][]time.Duration{}}
+	t0 := time.Unix(0, 0)
+	// Seconds each repetition spends on segments 0 and 1.
+	for _, durs := range [][2]int{{1, 2}, {1, 9}, {5, 2}} {
+		st := &uploadStats{}
+		for m := int64(0); m < 2*checkpointEvery; m++ {
+			k := m / checkpointEvery
+			sent := t0.Add(time.Duration(10*k) * time.Second)
+			st.acks = append(st.acks, ack{minute: m, records: 10,
+				sent: sent, got: sent.Add(time.Duration(durs[k]) * time.Second)})
+		}
+		b.reportUpload(st, -1)
+	}
+	b.reduce()
+	want := float64(2*checkpointEvery*10) / 3 // medians 1 s and 2 s
+	if got := b.metrics["upload_vps_per_s"].Value; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("upload_vps_per_s = %v, want %v", got, want)
 	}
 }

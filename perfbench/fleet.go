@@ -160,10 +160,16 @@ func ackedIDs(parts ...[]*streamMinute) map[int64][]vd.VPID {
 	return out
 }
 
-// reportUpload sets the upload metrics of a timed phase. Throughput
-// is the median over checkpoint-aligned segments (see segmentRate).
+// reportUpload sets the upload metrics of a timed phase. It keeps
+// each checkpoint-aligned segment (see segments) for the throughput,
+// which reduce computes once every repetition has run.
 func (b *bench) reportUpload(st *uploadStats, written int64) {
-	b.set("upload_vps_per_s", st.segmentRate(checkpointEvery), "1/s")
+	b.mu.Lock()
+	for k, s := range st.segments(checkpointEvery) {
+		b.segRecords[k] = s.records
+		b.segDurs[k] = append(b.segDurs[k], s.dur)
+	}
+	b.mu.Unlock()
 	b.set("upload_p50_ms", p50ms(st.lat), "ms")
 	b.layerSet("upload_p99_ms", quantileMS(st.lat, 0.99), "ms")
 	if written >= 0 {

@@ -80,6 +80,11 @@ type bench struct {
 	// verdicts logs every verified answer as "minute:legitimate set",
 	// for the determinism test.
 	verdicts []string
+	// Every repetition uploads the same stream, so its checkpoint-
+	// aligned segments are the same: each segment's records, and its
+	// duration in each repetition.
+	segRecords map[int64]int
+	segDurs    map[int64][]time.Duration
 }
 
 // set records one repetition's value of an end-to-end metric.
@@ -90,8 +95,21 @@ func (b *bench) set(name string, v float64, unit string) {
 	b.units[name] = unit
 }
 
-// reduce sets each metric to the median of its repetitions.
+// reduce sets each metric to the median of its repetitions. Upload
+// throughput is the stream's records over the sum of each segment's
+// median duration: the segments of a stream differ by the background
+// work they hold, so a median over all of them would sit between
+// those modes, while a segment's median over repetitions does not.
 func (b *bench) reduce() {
+	if len(b.segDurs) > 0 {
+		var records int
+		var dur time.Duration
+		for k, ds := range b.segDurs {
+			records += b.segRecords[k]
+			dur += medianDur(ds)
+		}
+		b.set("upload_vps_per_s", float64(records)/dur.Seconds(), "1/s")
+	}
 	for name, vs := range b.samples {
 		m := metric{Value: median(vs), Unit: b.units[name]}
 		if b.layers[name] {
@@ -236,6 +254,7 @@ func runBench(name string, run func(*bench) error, sc scale, seed int64, seconds
 	b := &bench{
 		workload: name, seed: seed, start: time.Now(), seconds: seconds, sc: sc, work: work,
 		samples: map[string][]float64{}, units: map[string]string{}, layers: map[string]bool{},
+		segRecords: map[int64]int{}, segDurs: map[int64][]time.Duration{},
 		metrics: map[string]metric{}, layer: map[string]metric{},
 	}
 	if b.bank, err = reward.NewBank(sc.bankBits); err != nil {

@@ -41,7 +41,7 @@ var scales = map[string]scale{
 		fleetPerMinute: 200, fleetHistory: 40, fleetWarm: 24, fleetRate: 22000,
 		invPerMinute: 1000, invHistory: 60, invRetention: 10, invSites: 10, invWarm: 40, invRate: 60,
 		owners: 5, waves: 10, fakes: 40,
-		probeRequests: 800, probeIncidents: 20, probeUploadMinutes: 250,
+		probeRequests: 800, probeIncidents: 20, probeUploadMinutes: 480,
 	},
 	"tiny": {
 		bankBits: 1024, reps: 2,

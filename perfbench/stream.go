@@ -144,12 +144,13 @@ type ack struct {
 	sent, got time.Time
 }
 
-// segmentRate is the median, over segments of every `minutes`
-// consecutive minutes (aligned to multiples of it, so each segment
-// holds the same background cycles), of records acknowledged per
-// second within the segment. Partial segments at either end are
-// left out unless there is no whole one.
-func (u *uploadStats) segmentRate(minutes int64) float64 {
+// segments returns the whole segments of `minutes` consecutive
+// minutes (aligned to multiples of it, so each segment holds the same
+// background cycles), keyed by segment number: the records
+// acknowledged in each and the time from its first send to its last
+// ack. Partial segments at either end are left out unless there is no
+// whole one.
+func (u *uploadStats) segments(minutes int64) map[int64]segment {
 	type seg struct {
 		records     int
 		first, last time.Time
@@ -172,18 +173,23 @@ func (u *uploadStats) segmentRate(minutes int64) float64 {
 			s.last = a.got
 		}
 	}
-	var whole, all []float64
-	for _, s := range segs {
-		r := float64(s.records) / s.last.Sub(s.first).Seconds()
-		all = append(all, r)
+	whole, all := map[int64]segment{}, map[int64]segment{}
+	for k, s := range segs {
+		all[k] = segment{records: s.records, dur: s.last.Sub(s.first)}
 		if int64(len(s.minutes)) == minutes {
-			whole = append(whole, r)
+			whole[k] = all[k]
 		}
 	}
 	if len(whole) == 0 {
-		whole = all
+		return all
 	}
-	return median(whole)
+	return whole
+}
+
+// segment is one segment of an upload phase.
+type segment struct {
+	records int
+	dur     time.Duration
 }
 
 func (u *uploadStats) fail(format string, args ...any) {
